@@ -36,10 +36,11 @@ python reference against its native twin (elements/sec at 1M elements
 when numba is importable, tiny interpreted-shim inputs otherwise) and
 the end-to-end ``multi_select`` + bulk-pqueue cycle on the mp pool
 under ``kernels="python"`` vs ``kernels="native"``.  With numba the run
-gates on the partition twin clearing 3x the numpy reference and on the
-end-to-end native win; without numba the rows record interpreted-shim
-numbers and nothing is asserted (the shim exists for bit-identity, not
-speed).
+gates on a selection round's local step (``count3`` against the pivot
+pair, then ``take3`` of the mid part) clearing 3x the numpy reference
+and on the end-to-end native win; without numba the rows record
+interpreted-shim numbers and nothing is asserted (the shim exists for
+bit-identity, not speed).
 
 Results are appended-as-written to ``results/BENCH_backend_scaling.json``
 so the perf trajectory accumulates across PRs; each invocation stores
@@ -60,6 +61,7 @@ import pathlib
 import platform
 import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -408,12 +410,13 @@ def _kernel_throughput_rows(p, n_per_pe, reps):
     asserts cross-mode bit-identity of the results along the way.
     """
     from repro.kernels import (
+        count3,
         numba_available,
-        partition3,
         set_mode,
         skip_sample_indices,
         spacesaving_offer,
         splitmix64_array,
+        take3,
         topk_cut,
         treap_merge,
         use_mode,
@@ -441,8 +444,17 @@ def _kernel_throughput_rows(p, n_per_pe, reps):
     def fresh_rng():
         return philox_generator(0xBEEF, 0, 0, 5)
 
+    # a selection round's local step: count against the pivot pair, then
+    # copy out the mid part (the one that survives when the rank is
+    # bracketed); timed as one unit so the gate covers both kernels
+    split_step = SimpleNamespace(
+        py=lambda a, lo, hi: take3.py(a, lo, hi, 1, count3.py(a, lo, hi)[1]),
+        native_fn=lambda a, lo, hi: take3.native_fn(
+            a, lo, hi, 1, count3.native_fn(a, lo, hi)[1]
+        ),
+    )
     micro = [
-        ("partition3", partition3, lambda: (arr, lo, hi)),
+        ("count3+take3", split_step, lambda: (arr, lo, hi)),
         ("topk_cut", topk_cut, lambda: (arr, hi, 50)),
         ("splitmix64_array", splitmix64_array, lambda: (u64,)),
         ("treap_merge", treap_merge,
@@ -684,14 +696,16 @@ def main(argv=None) -> int:
     if not args.quick:
         assert po["depth8"]["paired_median_win_s"] > 0, po
         assert po["depth8"]["wall_s"] < po["depth1"]["wall_s"], po
-    # native kernels: with numba the compiled partition twin must clear
-    # 3x the numpy reference at 1M elements and the end-to-end selection
-    # must win at p=8; without numba the rows are informational only
+    # native kernels: with numba the compiled count3+take3 round step
+    # must clear 3x the numpy reference at 1M elements and the end-to-end
+    # selection must win at p=8; without numba the rows are
+    # informational only
     kt = {r["algorithm"]: r for r in rows
           if r["experiment"] == "kernel_throughput"}
-    if kt["partition3"]["numba"]:
-        assert kt["partition3"]["native_eps"] >= kt["partition3"]["python_eps"], kt["partition3"]
-        assert kt["partition3"]["speedup"] >= 3.0, kt["partition3"]
+    split = kt["count3+take3"]
+    if split["numba"]:
+        assert split["native_eps"] >= split["python_eps"], split
+        assert split["speedup"] >= 3.0, split
         assert (kt["multi_select[native]"]["wall_s"]
                 < kt["multi_select[python]"]["wall_s"]), kt
 

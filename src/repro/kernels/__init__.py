@@ -21,7 +21,7 @@ from .registry import (
 )
 from .counters import spacesaving_offer
 from .hashing import fingerprint32, splitmix64_array
-from .partition import partition3, topk_count, topk_cut
+from .partition import count3, take3, topk_count, topk_cut
 from .philox import native_uniforms
 from .sampling import skip_sample_indices, weighted_counts
 from .treap import ArrayTreap, treap_merge
@@ -30,6 +30,7 @@ __all__ = [
     "MODES",
     "ArrayTreap",
     "Kernel",
+    "count3",
     "effective_mode",
     "fingerprint32",
     "get_mode",
@@ -37,12 +38,12 @@ __all__ = [
     "kernel",
     "native_uniforms",
     "numba_available",
-    "partition3",
     "registered",
     "set_mode",
     "skip_sample_indices",
     "spacesaving_offer",
     "splitmix64_array",
+    "take3",
     "topk_count",
     "topk_cut",
     "treap_merge",

@@ -1,11 +1,15 @@
 """Selection partition kernels: the per-PE hot loops of Section 3/4.
 
-``partition3`` is the multi-pivot split every selection round performs
-(below / between / above the pivot pair, order-preserving);
-``topk_count`` and ``topk_cut`` are the collapsed count + tie-grant
-extraction of the one-step top-k cut.  The python references are the
-exact numpy mask pipelines the algorithms used inline; the native twins
-do the same work in one or two typed passes.
+Every selection round splits a PE's slice against a pivot pair into
+the parts below / between / above the pivots, but the count all-
+reduction that follows keeps only the part (``select_kth``) or parts
+(``multi_select``) that still hold target ranks.  The split is therefore
+two kernels: ``count3`` sizes the parts before the reduction and
+``take3`` copies out one order-preserving part after it, so the parts
+that are dropped are never materialized.  ``topk_count`` and
+``topk_cut`` are the collapsed count + tie-grant extraction of the
+one-step top-k cut.  The python references are numpy mask pipelines;
+the native twins do the same work in one or two typed passes.
 """
 
 from __future__ import annotations
@@ -14,16 +18,15 @@ import numpy as np
 
 from .registry import jit, kernel
 
-__all__ = ["partition3", "topk_count", "topk_cut"]
+__all__ = ["count3", "take3", "topk_count", "topk_cut"]
 
 
-@kernel("partition3")
-def partition3(arr, lo, hi):
-    """Split ``arr`` into ``(below, mid, above)``: elements ``< lo``,
-    ``in [lo, hi]``, ``> hi`` -- each part order-preserving."""
-    below = arr < lo
-    mid = (arr >= lo) & (arr <= hi)
-    return arr[below], arr[mid], arr[~below & ~mid]
+@kernel("count3")
+def count3(arr, lo, hi):
+    """``(n_lo, n_mid)``: the number of elements ``< lo`` and in
+    ``[lo, hi]`` (requires ``lo <= hi``; the rest lie ``> hi``)."""
+    n_lo = int(np.count_nonzero(arr < lo))
+    return n_lo, int(np.count_nonzero(arr <= hi)) - n_lo
 
 
 @jit
@@ -39,32 +42,48 @@ def _count3_core(arr, lo, hi):
     return n_lo, n_mid
 
 
+@count3.native
+def _count3_native(arr, lo, hi):
+    n_lo, n_mid = _count3_core(arr, lo, hi)
+    return int(n_lo), int(n_mid)
+
+
+@kernel("take3")
+def take3(arr, lo, hi, part, size):
+    """Part ``part`` of the pivot split, order-preserving: 0 -> elements
+    ``< lo``, 1 -> in ``[lo, hi]``, 2 -> ``> hi``.
+
+    ``size`` is the part's length as :func:`count3` gave it; the native
+    twin sizes its output with it instead of counting again.
+    """
+    if part == 0:
+        return arr[arr < lo]
+    if part == 1:
+        return arr[(arr >= lo) & (arr <= hi)]
+    return arr[~(arr <= hi)]
+
+
 @jit
-def _fill3_core(arr, lo, hi, out_lo, out_mid, out_hi):
-    i = 0
+def _take3_core(arr, lo, hi, part, out):
     j = 0
-    k = 0
     for t in range(arr.size):
         x = arr[t]
         if x < lo:
-            out_lo[i] = x
-            i += 1
+            c = 0
         elif x <= hi:
-            out_mid[j] = x
-            j += 1
+            c = 1
         else:
-            out_hi[k] = x
-            k += 1
+            c = 2
+        if c == part:
+            out[j] = x
+            j += 1
 
 
-@partition3.native
-def _partition3_native(arr, lo, hi):
-    n_lo, n_mid = _count3_core(arr, lo, hi)
-    out_lo = np.empty(n_lo, dtype=arr.dtype)
-    out_mid = np.empty(n_mid, dtype=arr.dtype)
-    out_hi = np.empty(arr.size - n_lo - n_mid, dtype=arr.dtype)
-    _fill3_core(arr, lo, hi, out_lo, out_mid, out_hi)
-    return out_lo, out_mid, out_hi
+@take3.native
+def _take3_native(arr, lo, hi, part, size):
+    out = np.empty(int(size), dtype=arr.dtype)
+    _take3_core(arr, lo, hi, part, out)
+    return out
 
 
 @kernel("topk_count")

@@ -21,12 +21,12 @@ toolchain -- only the speedup needs numba.
 
 Registering a kernel::
 
-    @kernel("partition3")
-    def partition3(arr, lo, hi):            # the python reference
+    @kernel("count3")
+    def count3(arr, lo, hi):                 # the python reference
         ...
 
-    @partition3.native                       # optional native twin
-    def _partition3_native(arr, lo, hi):
+    @count3.native                           # optional native twin
+    def _count3_native(arr, lo, hi):
         ...  # python wrapper calling @jit cores
 
 Native RNG-consuming twins must derive their Philox stream from the

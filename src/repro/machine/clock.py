@@ -40,9 +40,16 @@ class SimClock:
         ``seconds`` may be a scalar (applied to every PE) or an array of
         length ``p``.
         """
-        dt = np.broadcast_to(np.asarray(seconds, dtype=np.float64), (self.p,))
-        if np.any(dt < 0):
-            raise ValueError("negative local work duration")
+        dt = np.asarray(seconds, dtype=np.float64)
+        if dt.ndim == 0:
+            dt = float(dt)
+            if dt < 0:
+                raise ValueError("negative local work duration")
+        else:
+            if dt.shape != (self.p,):
+                dt = np.broadcast_to(dt, (self.p,))
+            if dt.min() < 0:
+                raise ValueError("negative local work duration")
         self.t += dt
         self.work_time += dt
 

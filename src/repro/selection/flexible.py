@@ -127,7 +127,7 @@ def ams_select(
 
         j = []
         for i in range(p):
-            le = int(np.clip(seqs[i].count_le(v), lo[i], hi[i])) - lo[i]
+            le = int(min(max(seqs[i].count_le(v), lo[i]), hi[i])) - lo[i]
             j.append(le)
             machine.charge_ops_one(i, np.log2(max(hi[i] - lo[i], 2)))
         count = int(machine.allreduce(j, op="sum")[0])
@@ -209,7 +209,7 @@ class _SeqWindow:
         return self.seq.item(self.lo + i)
 
     def count_le(self, v):
-        return int(np.clip(self.seq.count_le(v), self.lo, self.hi)) - self.lo
+        return int(min(max(self.seq.count_le(v), self.lo), self.hi)) - self.lo
 
 
 def ams_select_gen(rank, p, seq, k_lo, k_hi, local_rng, shared_rng, log, *, max_rounds=60):
@@ -258,7 +258,7 @@ def ams_select_gen(rank, p, seq, k_lo, k_hi, local_rng, shared_rng, log, *, max_
             if v is BOTTOM:
                 continue
 
-        j = int(np.clip(seq.count_le(v), lo, hi)) - lo
+        j = int(min(max(seq.count_le(v), lo), hi)) - lo
         log.append(("ops", np.log2(max(size, 2))))
         count = yield ("allreduce", j, "sum")
         log.append(("allreduce", 1))
@@ -347,7 +347,7 @@ def ams_select_batched(
             for t in range(d):
                 if not finite[t]:
                     continue
-                le = int(np.clip(seqs[i].count_le(pivots[t]), lo[i], hi[i])) - lo[i]
+                le = int(min(max(seqs[i].count_le(pivots[t]), lo[i]), hi[i])) - lo[i]
                 counts_local[i, t] = le
             machine.charge_ops_one(i, d * np.log2(max(hi[i] - lo[i], 2)))
         counts = machine.allreduce([counts_local[i] for i in range(p)], op="sum")[0]
@@ -381,7 +381,7 @@ def ams_select_batched(
             # acceptance step above
             v_over = pivots[t]
             for i in range(p):
-                le = int(np.clip(seqs[i].count_le(v_over), lo[i], len(seqs[i])))
+                le = int(min(max(seqs[i].count_le(v_over), lo[i]), len(seqs[i])))
                 hi[i] = max(lo[i], le)
             cur_n = int(machine.allreduce([hi[i] - lo[i] for i in range(p)], op="sum")[0])
 

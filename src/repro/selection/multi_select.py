@@ -20,9 +20,11 @@ of the shared recursion is TWO pipelined worker commands:
   sample (plus finishing segments' residual content) into one
   in-worker allgather;
 * the **partition-count half** fuses all split segments' two-word part
-  counts into one in-worker all-reduction and -- because the reduced
+  counts (taken against the pivots in the sample half, before any
+  copy) into one in-worker all-reduction and -- because the reduced
   counts are replicated -- derives the *next* level's segment records
-  entirely worker-side.
+  entirely worker-side, copying out only the parts that still hold
+  target ranks.
 
 Since the next level's inputs exist in the workers as soon as the count
 half runs, the driver does not need any level's results to issue the
@@ -43,7 +45,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..common.sampling import bernoulli_sample_indices
-from ..kernels import partition3
+from ..kernels import count3, take3
 from ..machine import DistArray, Machine
 from .sequential import fr_pivots
 
@@ -77,9 +79,10 @@ def _ms_sample_kernel(rank: int, segs: list, p: int, addr, level: int,
     (the whole multiselection owns one draw sequence; the level index
     subdivides it, so speculative levels never perturb the machine's
     address stream).  All samples -- and finishing segments' full
-    residual content -- ride ONE in-worker allgather; pivots and
-    partitions are computed replicated and handed to the count half
-    through resident state.
+    residual content -- ride ONE in-worker allgather; pivots are computed
+    replicated, each split segment's slice is counted against them, and
+    the slice, counts and pivots are handed to the count half through
+    resident state (no part is copied yet).
 
     Returns per-PE ``(sample_words, finishes, meta)`` where
     ``finishes`` is the replicated list of resolved ``(global_rank,
@@ -128,8 +131,9 @@ def _ms_sample_kernel(rank: int, segs: list, p: int, addr, level: int,
         mid_rank = ranks[len(ranks) // 2]
         union = np.sort(np.concatenate(contrib))
         lo_p, hi_p = fr_pivots(union, mid_rank, n)
-        parts = partition3(arr, lo_p, hi_p)
-        inter.append(("split", parts, lo_p, hi_p, ranks, offset, n))
+        inter.append(
+            ("split", arr, count3(arr, lo_p, hi_p), lo_p, hi_p, ranks, offset, n)
+        )
         meta.append(("split", int(union.size), int(arr.size), float(rho)))
     return inter, (sample_words, finishes, meta)
 
@@ -141,15 +145,16 @@ def _ms_count_kernel(rank: int, inter: list):
     all-reduction; the replicated totals let every rank derive the next
     level's segment records identically, so the new resident state is
     ready for the (already pipelined) next sample command without a
-    driver round trip.  Returns per-PE ``(remaining, found)``:
-    the replicated number of surviving segments and the ``(global_rank,
-    value)`` pairs resolved by an exact pivot hit.
+    driver round trip.  Only parts that keep at least one target rank
+    are copied out of the slice (a pivot-duplicate mid part never is).
+    Returns per-PE ``(remaining, found)``: the replicated number of
+    surviving segments and the ``(global_rank, value)`` pairs resolved
+    by an exact pivot hit.
     """
     counts_vec: list[int] = []
     for entry in inter:
         if entry is not None and entry[0] == "split":
-            parts = entry[1]
-            counts_vec.extend([parts[0].size, parts[1].size])
+            counts_vec.extend(entry[2])
     totals = None
     if counts_vec:  # replicated decision: all ranks agree
         totals = yield (
@@ -166,24 +171,30 @@ def _ms_count_kernel(rank: int, inter: list):
             _, arr, ranks, offset, n = entry
             new_segs.append((arr, ranks, offset, n))
             continue
-        _, parts, lo_p, hi_p, ranks, offset, n = entry
+        _, arr, (n_lo, n_mid), lo_p, hi_p, ranks, offset, n = entry
         na, nb = int(totals[2 * ci]), int(totals[2 * ci + 1])
         ci += 1
         lo_ranks = tuple(k for k in ranks if k <= na)
         mid_ranks = tuple(k - na for k in ranks if na < k <= na + nb)
         hi_ranks = tuple(k - na - nb for k in ranks if k > na + nb)
         if lo_ranks:
-            new_segs.append((parts[0], lo_ranks, offset, na))
+            new_segs.append(
+                (take3(arr, lo_p, hi_p, 0, n_lo), lo_ranks, offset, na)
+            )
         if mid_ranks:
             if lo_p == hi_p:
                 v = lo_p.item() if hasattr(lo_p, "item") else lo_p
                 for k in mid_ranks:
                     found.append((offset + na + k, v))
             else:
-                new_segs.append((parts[1], mid_ranks, offset + na, nb))
+                new_segs.append(
+                    (take3(arr, lo_p, hi_p, 1, n_mid), mid_ranks, offset + na, nb)
+                )
         if hi_ranks:
+            n_hi = arr.size - n_lo - n_mid
             new_segs.append(
-                (parts[2], hi_ranks, offset + na + nb, n - na - nb)
+                (take3(arr, lo_p, hi_p, 2, n_hi), hi_ranks,
+                 offset + na + nb, n - na - nb)
             )
     return new_segs, (len(new_segs), found)
 

@@ -107,7 +107,7 @@ def ms_select(
         j = np.zeros(machine.p, dtype=np.int64)
         e = np.zeros(machine.p, dtype=np.int64)
         for i in range(machine.p):
-            le = int(np.clip(seqs[i].count_le(v), lo[i], hi[i])) - lo[i]
+            le = int(min(max(seqs[i].count_le(v), lo[i]), hi[i])) - lo[i]
             # count strictly-below via <=-count of the predecessor probe:
             # for floats we can search with side='left' semantics through
             # count_le on a slightly smaller probe; do it exactly instead:
@@ -137,7 +137,7 @@ def _count_lt(seq: SortedSequence, v, lo: int, hi: int) -> int:
     """Elements strictly below ``v`` inside window ``[lo, hi)``."""
     arr = getattr(seq, "arr", None)
     if arr is not None:
-        return int(np.clip(np.searchsorted(arr, v, side="left"), lo, hi)) - lo
+        return int(min(max(np.searchsorted(arr, v, side="left"), lo), hi)) - lo
     # generic adapter: binary search on item() for the left boundary
     a, b = lo, hi
     while a < b:
@@ -227,7 +227,7 @@ def ms_select_gen(rank, p, seq, k, shared_rng, log, *, base_case=64, max_rounds=
         v = yield ("allreduce", candidate, "min")
         log.append(("allreduce", payload_words(candidate)))
 
-        le = int(np.clip(seq.count_le(v), lo, hi)) - lo
+        le = int(min(max(seq.count_le(v), lo), hi)) - lo
         lt = _count_lt(seq, v, lo, hi)
         log.append(("ops", np.log2(max(size, 2))))
         counts = yield (
@@ -268,7 +268,7 @@ def ms_select_with_cuts_gen(rank, p, seq, k, shared_rng, log, **kwargs):
     )
     log.append(("allreduce_exscan", 2))
     quota = k - int(totals[0])
-    keep_eq = int(np.clip(quota - int(prefix[1]), 0, eq))
+    keep_eq = int(min(max(quota - int(prefix[1]), 0), eq))
     return value, n_lt + keep_eq, rounds
 
 
@@ -296,6 +296,6 @@ def ms_select_with_cuts(
     quota, eq_before = machine.tie_grant_prefix(lt, eq, k)
     cuts = []
     for i in range(machine.p):
-        keep_eq = int(np.clip(quota - eq_before[i], 0, eq[i]))
+        keep_eq = int(min(max(quota - eq_before[i], 0), eq[i]))
         cuts.append(lt[i] + keep_eq)
     return value, cuts

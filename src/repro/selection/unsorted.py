@@ -10,16 +10,19 @@ are picked, and every PE partitions its slice into
     ``a < lo_pivot <= b <= hi_pivot < c``.
 
 A two-word all-reduction yields the global part sizes and the recursion
-continues in the part containing rank ``k``.
+continues in the part containing rank ``k``.  Only the local part
+*sizes* are needed before that reduction, so every PE counts against
+the pivots first and copies out just the surviving part afterwards.
 
 Execution is resident-chunk SPMD: the slices stay pinned in the
 backend's workers for the whole recursion.  Sampling draws *where the
 data lives* from the counter-addressed rng (:mod:`repro.machine.ctrrng`
 -- only a tiny draw address crosses the wire, never index sets or
 generator state), the sample union rides an in-worker allgather, and
-the three-way partition runs in the same SPMD step with its two-word
-counts fused into the same round trip as an in-worker all-reduction --
-per level, exactly one backend round trip and zero chunk movement.
+the count against the pivots runs in the same SPMD step with its
+two-word result fused into the same round trip as an in-worker
+all-reduction, followed by the copy of the one surviving part -- per
+level, exactly one backend round trip and zero chunk movement.
 
 Expected running time ``O(n/p + beta * min(sqrt(p) log_p n, n/p)
 + alpha * log n)`` (Theorem 1); for constant alpha/beta this is
@@ -61,18 +64,21 @@ def _selection_round_kernel(
     the counter-addressed stream (``addr.local(rank, draw=level)`` --
     the same bits on every backend, with nothing but the tiny address on
     the wire), share it (in-worker allgather), pick the Floyd-Rivest
-    pivots from the replicated union, three-way partition the local
-    slice and combine the two-word part counts (in-worker allreduce) --
-    a single backend round trip per level; the slice itself never moves.
+    pivots from the replicated union, count the local slice against them
+    and combine the two-word part counts (in-worker allreduce) -- a
+    single backend round trip per level; the slice itself never moves.
+    The replicated totals decide which part holds rank ``k``, so only
+    that part is copied out.
 
-    Returns the three part chunks plus the small value tuple
+    Returns the surviving part chunk plus the small value tuple
     ``(sample_words, sample_total, lo_pivot, hi_pivot, na, nb,
     n_lo, n_mid)`` the driver re-plays the cost model from
-    (``sample_total == 0`` flags an empty-sample level: the parts are
-    ``(chunk, empty, empty)`` and no pivots exist).
+    (``sample_total == 0`` flags an empty-sample level: the chunk comes
+    back whole and no pivots exist; a rank inside a run of pivot
+    duplicates returns an empty chunk, since the pivot is the answer).
     """
     from ..common.sampling import bernoulli_sample_indices
-    from ..kernels import partition3
+    from ..kernels import count3, take3
     from ..machine.metrics import payload_words
     from .sequential import fr_pivots
 
@@ -82,18 +88,22 @@ def _selection_round_kernel(
     sample_words = payload_words(sample)
     nonempty = [s for s in gathered if s.size]
     if not nonempty:
-        empty = chunk[:0]
-        return chunk, empty, empty, (sample_words, 0, None, None, 0, 0, chunk.size, 0)
+        return chunk, (sample_words, 0, None, None, 0, 0, chunk.size, 0)
     union = np.sort(np.concatenate(nonempty))
     lo_p, hi_p = fr_pivots(union, k, n)
 
-    part_lo, part_mid, part_hi = partition3(chunk, lo_p, hi_p)
-    counts = np.array([part_lo.size, part_mid.size], dtype=np.int64)
+    n_lo, n_mid = count3(chunk, lo_p, hi_p)
+    counts = np.array([n_lo, n_mid], dtype=np.int64)
     totals = yield ("allreduce", counts, "sum")
-    return part_lo, part_mid, part_hi, (
-        sample_words, int(union.size), lo_p, hi_p,
-        int(totals[0]), int(totals[1]), part_lo.size, part_mid.size,
-    )
+    na, nb = int(totals[0]), int(totals[1])
+    vals = (sample_words, int(union.size), lo_p, hi_p, na, nb, n_lo, n_mid)
+    if na >= k:
+        return take3(chunk, lo_p, hi_p, 0, n_lo), vals
+    if na + nb < k:
+        return take3(chunk, lo_p, hi_p, 2, chunk.size - n_lo - n_mid), vals
+    if lo_p == hi_p:
+        return chunk[:0], vals
+    return take3(chunk, lo_p, hi_p, 1, n_mid), vals
 
 
 def _topk_cut_kernel(rank: int, chunk: np.ndarray, threshold, k: int):
@@ -114,7 +124,7 @@ def _topk_cut_kernel(rank: int, chunk: np.ndarray, threshold, k: int):
         "allreduce_exscan", counts, "sum", np.zeros(2, dtype=np.int64)
     )
     quota = k - int(totals[0])
-    keep_eq = int(np.clip(quota - int(prefix[1]), 0, n_eq))
+    keep_eq = min(max(quota - int(prefix[1]), 0), n_eq)
     sel = topk_cut(chunk, threshold, keep_eq)
     return sel, (n_below, n_eq, sel.size)
 
@@ -186,14 +196,15 @@ def select_kth(
         # (sampling, the sample-union allgather (expected O(sqrt(p))
         # words per PE, O(alpha log p) startups; the "fast inefficient
         # sorting" of Section 2 sorts the replicated union locally),
-        # pivot picking, the three-way partition and the two-word count
-        # all-reduction) runs inside the workers as ONE SPMD step.
+        # pivot picking, the count against the pivots, the two-word count
+        # all-reduction and the copy of the surviving part) runs inside
+        # the workers as ONE SPMD step.
         rho = min(1.0, sample_factor * np.sqrt(p) / n)
         machine.charge_ops([max(1.0, rho * s) for s in sizes])
-        part_refs, vals = machine.backend.run_spmd(
+        (part_ref,), vals = machine.backend.run_spmd(
             _selection_round_kernel,
             [cur._ensure_ref()],
-            n_out=3,
+            n_out=1,
             args=[(addr, rounds, rho, k, n)] * p,
         )
         # re-play the model from the small returned values, in the same
@@ -201,7 +212,7 @@ def select_kth(
         machine._meter_allgather(words=[v[0] for v in vals])
         s_total = int(vals[0][1])
         if s_total == 0:
-            cur = DistArray(machine, ref=part_refs[0], sizes=sizes, dtype=cur.dtype)
+            cur = DistArray(machine, ref=part_ref, sizes=sizes, dtype=cur.dtype)
             rounds += 1
             continue
         machine.charge_ops(s_total * np.log2(max(s_total, 2)))
@@ -217,12 +228,12 @@ def select_kth(
         na, nb = int(vals[0][4]), int(vals[0][5])
 
         if na >= k:
-            cur = DistArray(machine, ref=part_refs[0], sizes=n_lo, dtype=cur.dtype)
+            cur = DistArray(machine, ref=part_ref, sizes=n_lo, dtype=cur.dtype)
             sizes = n_lo
             n = na
         elif na + nb < k:
             cur = DistArray(
-                machine, ref=part_refs[2], sizes=sizes - n_lo - n_mid, dtype=cur.dtype
+                machine, ref=part_ref, sizes=sizes - n_lo - n_mid, dtype=cur.dtype
             )
             sizes = sizes - n_lo - n_mid
             k -= na + nb
@@ -234,7 +245,7 @@ def select_kth(
                 if return_stats:
                     return SelectionStats(value, rounds + 1, sample_total, 0)
                 return value
-            cur = DistArray(machine, ref=part_refs[1], sizes=n_mid, dtype=cur.dtype)
+            cur = DistArray(machine, ref=part_ref, sizes=n_mid, dtype=cur.dtype)
             sizes = n_mid
             k -= na
             n = nb

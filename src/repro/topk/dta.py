@@ -279,7 +279,7 @@ def _collect_winners(machine, hits_per_pe, thr, k):
     )
     winners_per_pe = []
     for i in range(machine.p):
-        grant = int(np.clip(quota - tie_before[i], 0, len(ties[i])))
+        grant = int(min(max(quota - tie_before[i], 0), len(ties[i])))
         winners_per_pe.append(strict[i] + ties[i][:grant])
     gathered = machine.allgather(winners_per_pe)[0]
     items = [item for piece in gathered for item in piece]

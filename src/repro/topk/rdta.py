@@ -133,7 +133,7 @@ def _materialize(machine, local_results, sel, thr, k):
     )
     out_per_pe = []
     for i, (mine, ties) in enumerate(per_pe):
-        grant = int(np.clip(quota - tie_before[i], 0, len(ties)))
+        grant = int(min(max(quota - tie_before[i], 0), len(ties)))
         out_per_pe.append(mine + ties[:grant])
     gathered = machine.allgather(out_per_pe)[0]
     items = [item for piece in gathered for item in piece]

@@ -15,18 +15,19 @@ from repro.kernels import (
     MODES,
     ArrayTreap,
     Kernel,
+    count3,
     effective_mode,
     fingerprint32,
     get_mode,
     kernel,
     native_uniforms,
     numba_available,
-    partition3,
     registered,
     set_mode,
     skip_sample_indices,
     spacesaving_offer,
     splitmix64_array,
+    take3,
     topk_count,
     topk_cut,
     treap_merge,
@@ -61,7 +62,7 @@ def rng_pair(seq=7):
 class TestRegistry:
     def test_all_hot_loops_registered(self):
         assert set(registered()) == {
-            "partition3", "topk_count", "topk_cut", "treap_merge",
+            "count3", "take3", "topk_count", "topk_cut", "treap_merge",
             "spacesaving_offer", "fingerprint32", "splitmix64_array",
             "weighted_counts", "skip_sample_indices",
         }
@@ -114,7 +115,7 @@ class TestRegistry:
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError, match="duplicate kernel"):
-            kernel("partition3")(lambda a: a)
+            kernel("count3")(lambda a: a)
 
     def test_dispatch_picks_the_twin_for_the_mode(self):
         k = Kernel("probe", lambda: "python")
@@ -191,10 +192,55 @@ class TestTwinParity:
         for w, g in zip(want, got):
             assert np.array_equal(np.asarray(w), np.asarray(g))
 
-    def test_partition3(self):
-        arr = np.random.default_rng(1).integers(0, 50, 10_000)
-        for lo, hi in [(10, 30), (0, 49), (25, 25), (60, 70), (-5, -1)]:
-            self.assert_twins_agree(partition3, lambda: (arr, lo, hi))
+    #: pivot pairs covering ties at both pivots, lo == hi, and pivots
+    #: below / above every element (keys are drawn from 0..49)
+    PIVOTS = [(10, 30), (0, 49), (25, 25), (60, 70), (-5, -1)]
+
+    @staticmethod
+    def split_inputs():
+        r = np.random.default_rng(1)
+        ints = r.integers(0, 50, 10_000)
+        return [ints, ints.astype(np.float64), ints[:0], ints[:0].astype(np.float64)]
+
+    def test_count3(self):
+        for arr in self.split_inputs():
+            for lo, hi in self.PIVOTS:
+                self.assert_twins_agree(count3, lambda: (arr, lo, hi))
+
+    def test_take3(self):
+        for arr in self.split_inputs():
+            for lo, hi in self.PIVOTS:
+                sizes = count3.py(arr, lo, hi)
+                sizes += (arr.size - sum(sizes),)
+                for part in range(3):
+                    self.assert_twins_agree(
+                        take3, lambda: (arr, lo, hi, part, sizes[part])
+                    )
+                    got = take3.native_fn(arr, lo, hi, part, sizes[part])
+                    assert got.dtype == arr.dtype
+
+    def test_count3_take3_reproduce_the_three_mask_split(self):
+        """The old three-mask partition pipeline stays the reference:
+        counting first and copying one part later must yield its parts
+        and sizes exactly, in both modes."""
+        def three_mask(arr, lo, hi):
+            below = arr < lo
+            mid = (arr >= lo) & (arr <= hi)
+            return arr[below], arr[mid], arr[~below & ~mid]
+
+        for arr in self.split_inputs():
+            for lo, hi in self.PIVOTS:
+                want = three_mask(arr, lo, hi)
+                for mode in ("python", "native"):
+                    with use_mode(mode):
+                        n_lo, n_mid = count3(arr, lo, hi)
+                        assert (n_lo, n_mid) == (want[0].size, want[1].size)
+                        assert type(n_lo) is int and type(n_mid) is int
+                        sizes = (n_lo, n_mid, arr.size - n_lo - n_mid)
+                        for part in range(3):
+                            got = take3(arr, lo, hi, part, sizes[part])
+                            assert got.dtype == want[part].dtype
+                            assert np.array_equal(got, want[part])
 
     def test_topk_count(self):
         arr = np.random.default_rng(2).integers(0, 20, 5_000)
