@@ -7,22 +7,29 @@ planes:
   metering) stays in :class:`~repro.machine.comm.Machine` -- it is what
   makes the alpha-beta model's predictions reportable regardless of how
   the data plane is executed;
-* the **data plane** (computing the per-PE result values of a
-  collective) is delegated to a :class:`Backend`.
+* the **data plane** (computing the per-PE result values) is delegated
+  to a :class:`Backend`.
 
-Backends implement the same list-in/list-out SPMD convention as the
-machine itself: each data-plane method receives one contribution per PE
-and returns one result per PE.  Three backends ship with the package:
+A backend has one data plane, the *resident surface*: ``put_chunks`` /
+``get_chunks`` pin and fetch per-PE objects behind :class:`ChunkRef`
+handles, ``map_resident`` applies a per-PE callback where the chunks
+live, and ``run_spmd`` runs a per-PE generator that yields collective
+requests (plus the non-blocking ``submit_*`` forms).  The list-in/
+list-out value collectives (``allreduce``, ``broadcast``, ...) are
+defined once, here, as one-yield SPMD steps over no chunks, so they
+cost one backend command each and no backend implements them.
+:func:`spmd_collective` is the reference semantics of every yield.
+Three backends ship with the package:
 
 ``sim`` (:class:`~repro.machine.backends.sim.SimBackend`)
-    Computes results in-process with deterministic combination orders
+    Drives the per-PE generators in lockstep in the driver process
     (binomial-tree reductions, linear prefix scans).  The default; all
     reported *time* is modeled alpha-beta cost.
 
 ``mp`` (:class:`~repro.machine.backends.mp.MultiprocessingBackend`)
-    Runs one OS worker process per PE; collectives physically move
-    pickled payloads between the workers.  Combination orders replicate
-    the simulated backend exactly, so results are bit-identical for the
+    Runs one OS worker process per PE; yields physically move pickled
+    payloads between the workers.  Combination orders replicate the
+    simulated backend exactly, so results are bit-identical for the
     package's integer/array payloads.  Reported *wall-clock* reflects
     genuine parallel execution (the modeled cost is still charged, so
     both metrics stay available).
@@ -42,16 +49,18 @@ driver dispatch, and a thin *launcher* per transport (``mp.py``,
 
 Reduction ``op`` arguments follow :data:`repro.machine.collectives.
 REDUCTION_OPS`: the strings ``"sum"``/``"min"``/``"max"`` or a callable.
-Real backends require ops and payloads to be picklable; the named
+Real backends require ops and payloads to be picklable (an unpicklable
+one raises :class:`TypeError` before the command is issued); the named
 string ops always are.
 """
 
 from __future__ import annotations
 
-import abc
 import contextlib
 import weakref
 from typing import Callable, Sequence
+
+from ..collectives import inclusive_scan, tree_reduce_order
 
 __all__ = ["Backend", "ChunkRef", "LockstepError", "PendingValues"]
 
@@ -130,8 +139,14 @@ class ChunkRef:
         return f"ChunkRef(id={self.id}, p={self.p})"
 
 
-class Backend(abc.ABC):
+class Backend:
     """Data-plane executor for the collectives of one :class:`Machine`.
+
+    The defaults are a complete in-process backend (``sim`` is exactly
+    this class): chunks live in a driver-side store and SPMD generators
+    run in lockstep in the driver.  Real backends override the resident
+    surface (``put_chunks``, ``get_chunks``, ``map_resident``,
+    ``run_spmd`` and the ``submit_*`` forms) and inherit everything else.
 
     Attributes
     ----------
@@ -178,23 +193,60 @@ class Backend(abc.ABC):
     # ------------------------------------------------------------------
     # Value collectives (list-in, list-out; one entry per PE)
     # ------------------------------------------------------------------
-    @abc.abstractmethod
+    # Sugar over the resident surface: each collective is ONE command of
+    # a module-level one-yield SPMD step with no resident refs, so every
+    # backend inherits them and none implements a data plane of its own.
+    def _collective(self, step: Callable, args: Sequence[tuple]) -> list:
+        """Run the one-yield ``step`` on every PE; returns its values."""
+        return self.run_spmd(step, [], args=args)[1]
+
     def broadcast(self, value, root: int = 0) -> list:
         """Every PE receives ``value`` (held by ``root``)."""
+        return self.scatter([value] * self.p, root)
 
-    @abc.abstractmethod
+    def scatter(self, pieces: Sequence, root: int = 0) -> list:
+        """PE ``i`` receives ``pieces[i]`` (held by ``root``); one direct
+        message per non-``None`` piece."""
+        blank = [None] * self.p
+        return self._collective(_from_root_step, [
+            (list(pieces) if i == root else blank,
+             [root] if i != root and pieces[i] is not None else [], root)
+            for i in range(self.p)
+        ])
+
+    def p2p(self, src: int, dst: int, payload):
+        """Move ``payload`` from PE ``src`` to PE ``dst``; returns it."""
+        if src == dst:
+            return payload
+        pieces = [None] * self.p
+        pieces[dst] = payload
+        return self.scatter(pieces, src)[dst]
+
+    def gather(self, values: Sequence, root: int = 0) -> list:
+        """``root`` receives the rank-ordered list; others get ``None``."""
+        return self._to_root(values, root, None)
+
     def reduce(self, values: Sequence, op, root: int = 0) -> list:
         """Binomial-tree-order reduction to ``root``; others get ``None``."""
+        return self._to_root(values, root, op)
 
-    @abc.abstractmethod
+    def _to_root(self, values: Sequence, root: int, op) -> list:
+        senders = [j for j in range(self.p) if j != root and values[j] is not None]
+        args = []
+        for i in range(self.p):
+            row = [None] * self.p
+            row[root] = values[i]
+            args.append((row, senders if i == root else [], root, op))
+        return self._collective(_to_root_step, args)
+
     def allreduce(self, values: Sequence, op) -> list:
         """Binomial-tree-order reduction, result replicated on every PE."""
+        return self._collective(_allreduce_step, [(v, op) for v in values])
 
-    @abc.abstractmethod
     def scan(self, values: Sequence, op) -> list:
         """Inclusive prefix combine in rank order."""
+        return self._collective(_scan_step, [(v, op) for v in values])
 
-    @abc.abstractmethod
     def allreduce_exscan(self, values: Sequence, op, initial=0) -> tuple[list, list]:
         """Fused total + exclusive prefix (one schedule, two outputs).
 
@@ -202,45 +254,31 @@ class Backend(abc.ABC):
         tree-order reduction of all contributions and ``prefixes[i]``
         is ``op(values[0..i-1])`` (``initial`` on PE 0).
         """
+        pairs = self._collective(
+            _allreduce_exscan_step, [(v, op, initial) for v in values]
+        )
+        return [t for t, _ in pairs], [pre for _, pre in pairs]
 
-    @abc.abstractmethod
-    def gather(self, values: Sequence, root: int = 0) -> list:
-        """``root`` receives the rank-ordered list; others get ``None``."""
-
-    @abc.abstractmethod
     def allgather(self, values: Sequence) -> list:
         """Every PE receives the rank-ordered list of all contributions."""
-
-    @abc.abstractmethod
-    def scatter(self, pieces: Sequence, root: int = 0) -> list:
-        """PE ``i`` receives ``pieces[i]`` (held by ``root``)."""
-
-    @abc.abstractmethod
-    def alltoall(self, matrix: Sequence[Sequence]) -> list[list]:
-        """Personalized exchange: ``out[j][i] == matrix[i][j]``."""
-
-    @abc.abstractmethod
-    def p2p(self, src: int, dst: int, payload):
-        """Move ``payload`` from PE ``src`` to PE ``dst``; returns it."""
+        return self._collective(_allgather_step, [(v,) for v in values])
 
     def reduce_allgather(self, values: Sequence, payloads: Sequence, op) -> tuple[list, list]:
-        """Fused ``allreduce(values)`` + ``allgather(payloads)``.
+        """Fused ``allreduce(values)`` + ``allgather(payloads)`` in one
+        schedule: ``(totals, gathered)``, both replicated on every PE."""
+        pairs = self._collective(
+            _reduce_allgather_step, [(v, g, op) for v, g in zip(values, payloads)]
+        )
+        return [t for t, _ in pairs], [g for _, g in pairs]
 
-        Returns ``(totals, gathered)``: ``totals[i]`` is the binomial-
-        tree-order reduction of ``values``, ``gathered[i]`` the
-        rank-ordered payload list, both replicated on every PE.  Real
-        backends override this to run one schedule instead of two.
-        """
-        return self.allreduce(values, op), self.allgather(payloads)
+    def alltoall(self, matrix: Sequence[Sequence]) -> list[list]:
+        """Personalized exchange: ``out[j][i] == matrix[i][j]``."""
+        return self._collective(_alltoall_step, [(list(row),) for row in matrix])
 
-    # ------------------------------------------------------------------
-    # Local work
-    # ------------------------------------------------------------------
-    @abc.abstractmethod
     def map(self, fn: Callable[[int, object], object], items: Sequence) -> list:
-        """Apply ``fn(rank, items[rank])`` on every PE, in parallel where
-        the backend can (falls back to in-process application when ``fn``
-        cannot cross a process boundary)."""
+        """Apply ``fn(rank, items[rank])`` on every PE (a
+        :meth:`map_resident` over no chunks)."""
+        return self.map_resident(fn, [], args=[(x,) for x in items])[1]
 
     # ------------------------------------------------------------------
     # Resident chunks (the SPMD data plane of DistArray)
@@ -500,6 +538,57 @@ def spmd_collective(requests: Sequence[tuple]) -> object:
     raise ValueError(f"unknown SPMD collective {kind!r}")
 
 
+# ----------------------------------------------------------------------
+# One-yield SPMD steps: the data plane of the value collectives
+# ----------------------------------------------------------------------
+# Module-level so real backends ship them by reference.  The yields keep
+# each collective's combination order and its worker message count:
+# the reduction-type ones ride the tree gather + broadcast of
+# ``allgather``/``allreduce``/``allreduce_exscan``, the rooted ones send
+# direct ``sendrecv`` rows to or from the root.
+
+def _allgather_step(rank, value):
+    return (yield ("allgather", value))
+
+
+def _allreduce_step(rank, value, op):
+    return (yield ("allreduce", value, op))
+
+
+def _allreduce_exscan_step(rank, value, op, initial):
+    return (yield ("allreduce_exscan", value, op, initial))
+
+
+def _scan_step(rank, value, op):
+    gathered = yield ("allgather", value)
+    return inclusive_scan(gathered[: rank + 1], op)[-1]
+
+
+def _reduce_allgather_step(rank, value, payload, op):
+    pairs = yield ("allgather", (value, payload))
+    return tree_reduce_order([v for v, _ in pairs], op), [g for _, g in pairs]
+
+
+def _alltoall_step(rank, row):
+    return (yield ("alltoall", row))
+
+
+def _from_root_step(rank, row, srcs, root):
+    """``root`` sends ``row[j]`` to PE ``j`` (broadcast, scatter, p2p)."""
+    received = yield ("sendrecv", row, srcs)
+    return received[root]
+
+
+def _to_root_step(rank, row, srcs, root, op):
+    """Every PE sends ``row[root]`` to ``root``, which returns the
+    rank-ordered list, reduced in tree order unless ``op`` is ``None``
+    (gather, reduce)."""
+    received = yield ("sendrecv", row, srcs)
+    if rank != root:
+        return None
+    return received if op is None else tree_reduce_order(received, op)
+
+
 def _run_spmd_inprocess(
     p: int, fn: Callable, chunk_lists: Sequence[Sequence], n_out: int,
     args: Sequence[tuple] | None,
@@ -555,8 +644,6 @@ def _collect_values(values: list, collect: tuple | None, p: int) -> list | None:
     plain collectives, so results stay bit-identical across backends)."""
     if collect is None:
         return None
-    from ..collectives import tree_reduce_order
-
     if collect[0] == "allgather":
         return [list(values)] * p
     if collect[0] == "allreduce":

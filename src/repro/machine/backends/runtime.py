@@ -28,12 +28,25 @@ along the binomial tree, each forwarding its children their subtree's
 slice of the locals -- O(1) driver sends (:attr:`RuntimeBackend.
 driver_sends`) and exactly ``p - 1`` worker forwards
 (:meth:`RuntimeBackend.command_fanout_counts`) instead of ``p``
-serialized driver writes.  Partial-participant commands (``p2p``) keep
-the direct per-worker path.  Workers exchange peer messages tagged with
-the same sequence number (plus a per-schedule round tag) and stash
-anything that arrives early, so fast workers can run ahead without
-confusing slow ones.  Worker-to-worker exchanges follow logarithmic
-schedules instead of direct O(p^2) delivery:
+serialized driver writes.  Only chunk uploads (``put``) take the direct
+per-worker path.  The command kinds are ``put``/``get`` (the resident
+store), ``mapres``, ``spmd`` and ``stats``; every value collective is an
+``spmd`` command of a one-yield step.  Workers exchange peer messages
+tagged with the same sequence number (plus a per-schedule round tag)
+and stash anything that arrives early, so fast workers can run ahead
+without confusing slow ones.  Each SPMD yield has one worker schedule:
+
+* ``allgather``, ``allreduce`` and ``allreduce_exscan`` (and the value
+  collective fused into ``map_resident``) gather to rank 0 along a
+  binomial tree and broadcast back -- ``2 (p - 1)`` messages, ``2 log
+  p`` depth; scan and ``reduce_allgather`` are ``allgather`` steps;
+* ``alltoall`` store-and-forwards along the dissemination hop sequence
+  (hypercube routing, Leighton Thm 3.24) -- ``p * ceil(log2 p)``
+  messages instead of ``p * (p - 1)``;
+* ``sendrecv`` delivers each non-empty row entry in one direct hop --
+  one message per sender/receiver pair; the rooted collectives
+  (broadcast, scatter, gather, reduce) and ``p2p`` send their rows to
+  or from the root this way, ``p - 1`` messages (one for ``p2p``).
 
 Pipelined issue
 ---------------
@@ -45,32 +58,22 @@ order, so pipelined ``bcmd`` frames execute in *seq order on every
 worker* even though their results may interleave at the driver (a fast
 worker's seq ``n+1`` result can beat a slow worker's seq ``n``).  The
 driver demultiplexes the shared result channel by seq
-(:meth:`RuntimeBackend._pump`).  Direct per-worker frames (``put``,
-partial-participant ``p2p``) could overtake a tree hop still in
-flight, so they fence -- drain every in-flight command -- before
-issue.  Each command envelope carries the driver's *ack frontier* (the
-highest seq whose results are all collected); shm pools recycle a
-segment only once every block in it is flagged dead by its zero-copy
-consumer *and* the frontier has passed the newest round that allocated
-in it (:meth:`~repro.machine.backends.shm.ShmPool.release_through`) --
-under pipelining the arrival of a newer command proves nothing about
-an older round's blocks, and with in-place consumption even a settled
-command's blocks may outlive it (resident chunks decoded straight out
-of the segment).
-
-* rooted collectives (broadcast, reduce, gather, scatter) walk a
-  binomial tree -- ``p - 1`` messages, ``log p`` depth;
-* symmetric collectives (allgather, allreduce, scan, the fused
-  ``allreduce_exscan``/``reduce_allgather`` and the value collectives
-  fused into ``map_resident``) use the dissemination (Bruck) schedule
-  -- ``p * ceil(log2 p)`` messages on any ``p``, power of two or not;
-* ``alltoall`` store-and-forwards along the same hop sequence
-  (hypercube routing, Leighton Thm 3.24) -- ``p * ceil(log2 p)``
-  messages instead of ``p * (p - 1)``.
+(:meth:`RuntimeBackend._pump`).  Direct per-worker ``put`` frames could
+overtake a tree hop still in flight, so they fence -- drain every
+in-flight command -- before issue.  Each command envelope carries the
+driver's *ack frontier* (the highest seq whose results are all
+collected); shm pools recycle a segment only once every block in it is
+flagged dead by its zero-copy consumer *and* the frontier has passed
+the newest round that allocated in it
+(:meth:`~repro.machine.backends.shm.ShmPool.release_through`) -- under
+pipelining the arrival of a newer command proves nothing about an older
+round's blocks, and with in-place consumption even a settled command's
+blocks may outlive it (resident chunks decoded straight out of the
+segment).
 
 Every worker counts its sends; :meth:`RuntimeBackend.
 worker_message_counts` exposes the totals so tests can assert the
-O(p log p) bound.
+bounds above.
 """
 
 from __future__ import annotations
@@ -90,7 +93,6 @@ from ..collectives import (
     binomial_edges,
     binomial_subtrees,
     bruck_hops,
-    bruck_send_blocks,
     inclusive_scan,
     tree_reduce_order,
 )
@@ -125,6 +127,12 @@ _LIVENESS_INTERVAL = 5.0
 
 #: how often the blocked driver probes worker liveness while waiting
 _PROBE_INTERVAL = 0.25
+
+
+def _elide(buf: pickle.PickleBuffer) -> None:
+    """``buffer_callback`` that keeps every buffer out-of-band (a falsy
+    return), so a picklability probe never copies array payloads."""
+
 
 #: pools that still own live worker processes (for the atexit guard)
 _LIVE_POOLS: "weakref.WeakSet[RuntimeBackend]" = weakref.WeakSet()
@@ -338,41 +346,11 @@ def _tree_gather(comm: Comm, root: int, local, tag: int = 1):
 
 def _tree_allgather(comm: Comm, myval, tag_base: int = 1) -> list:
     """Gather-to-root + broadcast composition: ``2 (p - 1)`` messages,
-    ``2 log p`` depth.  The message-count winner for the small values
-    the reduction-type collectives combine; the payload-heavy allgather
-    and alltoall use the dissemination/hypercube schedules instead."""
+    ``2 log p`` depth -- the schedule of every ``allgather``,
+    ``allreduce`` and ``allreduce_exscan`` yield (fewer messages than a
+    dissemination allgather's ``p * ceil(log2 p)`` for every ``p``)."""
     vals = _tree_gather(comm, 0, myval, tag_base)
     return _tree_bcast(comm, 0, vals, tag_base + 16)
-
-
-def _tree_scatter(comm: Comm, root: int, pieces, tag: int = 2):
-    """Binomial-tree scatter: parents forward each child its subtree's
-    bundle; returns this PE's piece."""
-    edges = binomial_edges(comm.p, root)
-    if comm.rank == root:
-        bundle = {j: pieces[j] for j in range(comm.p)}
-    else:
-        parent = next(s for _, s, d in edges if d == comm.rank)
-        bundle = comm.recv(parent, tag)
-    subtrees = binomial_subtrees(comm.p, root)
-    for _, s, d in edges:
-        if s == comm.rank:
-            comm.send(d, tag, {j: bundle[j] for j in subtrees[d]})
-    return bundle[comm.rank]
-
-
-def _bruck_allgather(comm: Comm, myval, tag_base: int = 3) -> list:
-    """Dissemination allgather: ceil(log2 p) rounds on any p, one
-    message per PE per round; returns the rank-ordered value list."""
-    rank, p = comm.rank, comm.p
-    blocks = {rank: myval}
-    for tag, hop in enumerate(bruck_hops(p)):
-        dst = (rank + hop) % p
-        src = (rank - hop) % p
-        send = bruck_send_blocks(p, rank, hop, list(blocks))
-        comm.send(dst, tag_base + tag, {b: blocks[b] for b in send})
-        blocks.update(comm.recv(src, tag_base + tag))
-    return [blocks[j] for j in range(p)]
 
 
 def _bruck_alltoall(comm: Comm, row, tag_base: int = 20) -> list:
@@ -400,18 +378,17 @@ def _bruck_alltoall(comm: Comm, row, tag_base: int = 20) -> list:
 def _collective_signature(req: tuple) -> tuple:
     """Rank-comparable signature of one yielded collective.
 
-    Kind plus whatever shapes the exchange: the reduction op for the
-    reducing collectives (named ops compare as strings, callables by
-    their ``__name__``) and the declared sender set for ``sendrecv``.
-    Payload contents stay out -- they legitimately differ per rank.
+    Kind plus the reduction op for the reducing collectives (named ops
+    compare as strings, callables by their ``__name__``).  Payload
+    contents stay out -- they legitimately differ per rank -- and so do
+    the declared senders of a ``sendrecv``: each rank lists whom *it*
+    receives from.
     """
     kind = req[0]
     if kind in ("allreduce", "allreduce_exscan"):
         op = req[2]
         return (kind, op if isinstance(op, str)
                 else getattr(op, "__name__", type(op).__name__))
-    if kind == "sendrecv":
-        return (kind, tuple(sorted(req[2])))
     return (kind,)
 
 
@@ -495,10 +472,8 @@ class WorkerError:
 
 def _execute(comm: Comm, spec, local, store):
     """Run one command on this worker; returns this PE's result."""
-    rank, p = comm.rank, comm.p
+    rank = comm.rank
     kind = spec[0]
-
-    # -- resident chunk store ------------------------------------------
     if kind == "put":
         store[spec[1]] = local
         return None
@@ -529,10 +504,7 @@ def _execute(comm: Comm, spec, local, store):
         return value, tree_reduce_order(gathered, collect[1])
     if kind == "spmd":
         fn = pickle.loads(spec[1])
-        in_ids, out_ids = spec[2], spec[3]
-        # specs from pre-verify drivers are 4-tuples; treat them as
-        # verify-off rather than indexing past the end
-        verify = len(spec) > 4 and bool(spec[4])
+        in_ids, out_ids, verify = spec[2], spec[3], spec[4]
         ins = [store[i] for i in in_ids]
         extra = tuple(local) if local is not None else ()
         trace: list | None = [] if verify else None
@@ -558,48 +530,6 @@ def _execute(comm: Comm, spec, local, store):
             "resident": len(store),
             "stash": len(comm.stash),
         }
-    if kind == "map":
-        fn = pickle.loads(spec[1])
-        return fn(rank, local)
-
-    # -- collectives ---------------------------------------------------
-    if kind == "bcast":
-        return _tree_bcast(comm, spec[1], local)
-    if kind == "reduce":
-        op, root = spec[1], spec[2]
-        recv = _tree_gather(comm, root, local)
-        return None if recv is None else tree_reduce_order(recv, op)
-    if kind == "allreduce":
-        return tree_reduce_order(_tree_allgather(comm, local), spec[1])
-    if kind == "scan":
-        return inclusive_scan(_tree_allgather(comm, local), spec[1])[rank]
-    if kind == "allreduce_exscan":
-        op, initial = spec[1], spec[2]
-        recv = _tree_allgather(comm, local)
-        total = tree_reduce_order(recv, op)
-        prefix = initial if rank == 0 else inclusive_scan(recv, op)[rank - 1]
-        return total, prefix
-    if kind == "reduce_allgather":
-        op = spec[1]
-        pairs = _tree_allgather(comm, local)
-        total = tree_reduce_order([rv for rv, _ in pairs], op)
-        return total, [gv for _, gv in pairs]
-    if kind == "gather":
-        return _tree_gather(comm, spec[1], local)
-    if kind == "allgather":
-        return _bruck_allgather(comm, local)
-    if kind == "scatter":
-        return _tree_scatter(comm, spec[1], local)
-    if kind == "alltoall":
-        return _bruck_alltoall(comm, list(local))
-    if kind == "p2p":
-        # pair operation: only src and dst receive this command, so the
-        # rest of the pool keeps working undisturbed
-        src, dst = spec[1], spec[2]
-        if rank == src:
-            comm.send(dst, 0, local)
-            return None
-        return comm.recv(src, 0)
     raise ValueError(f"unknown backend command {kind!r}")
 
 
@@ -765,29 +695,26 @@ class CommandFuture:
                  "wire_rx", "shm_rx", "ref_ids", "pending", "poisoned",
                  "_backend")
 
-    def __init__(self, backend: "RuntimeBackend", seq: int, kind: str,
-                 p: int, nranks: int, participants=None):
+    def __init__(self, backend: "RuntimeBackend", seq: int, kind: str, p: int):
         self._backend = backend
         self.seq = seq
         self.kind = kind
         self.out: list = [None] * p
         self.failures: list[tuple[int, str]] = []
-        self.remaining = nranks
+        self.remaining = p
         self.done = False
         self.wire_rx = 0
         self.shm_rx = 0
         #: resident refs this command reads or writes (dependency tracker)
         self.ref_ids: tuple[int, ...] = ()
         #: ranks that have not answered yet (hang attribution)
-        self.pending: set[int] = set(
-            range(p) if participants is None else participants
-        )
+        self.pending: set[int] = set(range(p))
         #: the WorkerFailure that poisoned this still-in-flight future
         #: when the pool broke (re-waits re-raise it)
         self.poisoned: WorkerFailure | None = None
 
     def wait(self) -> list:
-        """Block until every participant answered; returns the per-PE
+        """Block until every worker answered; returns the per-PE
         results (worker failures raise, and keep raising on re-wait)."""
         return self._backend._wait(self)
 
@@ -843,9 +770,9 @@ class RuntimeBackend(Backend):
         self.faults = faults
         # -- chunk journal / recovery -----------------------------------
         #: opt-in driver-side provenance journal: every ``put`` and every
-        #: resident/SPMD command is recorded so a lost pool can be
-        #: rebuilt bit-identically (:meth:`recover`).  Also enables
-        #: automatic recovery on the next command after a failure.
+        #: resident/SPMD command that touches a ref is recorded so a lost
+        #: pool can be rebuilt bit-identically (:meth:`recover`).  Also
+        #: enables automatic recovery on the next command after a failure.
         self.journal_enabled = bool(journal)
         self._journal: list[tuple] = []
         #: refs that could not be restored after a worker failure
@@ -1121,7 +1048,7 @@ class RuntimeBackend(Backend):
                 restored.update(out_ids)
             else:  # "spmd"
                 _, blob, in_ids, out_ids, args = entry
-                spec = ("spmd", blob, in_ids, out_ids)
+                spec = ("spmd", blob, in_ids, out_ids, False)
                 self._run(spec, args)
                 restored.update(in_ids)
                 restored.update(out_ids)
@@ -1132,8 +1059,14 @@ class RuntimeBackend(Backend):
         return restored & self._live_ids
 
     def _record(self, entry: tuple) -> None:
-        """Append one provenance entry (suppressed during replay)."""
+        """Append one provenance entry (suppressed during replay).
+
+        A resident/SPMD command that neither reads nor writes a ref (a
+        value collective) rebuilds nothing, so it is not recorded --
+        its entry would only pin the payload until the next prune."""
         if not self.journal_enabled or self._recovering:
+            return
+        if entry[0] != "put" and not (entry[2] or entry[3]):
             return
         self._journal.append(entry)
         if len(self._journal) % 256 == 0:
@@ -1376,31 +1309,30 @@ class RuntimeBackend(Backend):
         for ref_id in ids:
             self._ref_seq[ref_id] = fut.seq
 
-    def _submit(
-        self, spec: tuple, locals_per_pe: Sequence, participants=None
-    ) -> CommandFuture:
-        """Issue one command without collecting results.
+    def _submit(self, spec: tuple, locals_per_pe: Sequence) -> CommandFuture:
+        """Issue one full-pool command without collecting results.
 
-        Only full-pool broadcast-channel commands may overlap: FIFO
-        links and in-order tree forwarding deliver pipelined ``bcmd``
-        frames to every worker in seq order, so execution order equals
-        issue order on each rank.  Direct per-worker frames (``put``,
-        partial-participant ``p2p``) have no such guarantee and fence
-        first.
+        Broadcast-channel commands may overlap: FIFO links and in-order
+        tree forwarding deliver pipelined ``bcmd`` frames to every
+        worker in seq order, so execution order equals issue order on
+        each rank.  Direct per-worker ``put`` frames have no such
+        guarantee and fence first.
         """
         self._ensure_started()
         t0 = time.perf_counter()
-        if participants is not None or spec[0] == "put":
+        if spec[0] == "put":
             self._fence()
         else:
             while len(self._inflight) >= self.pipeline_depth:
                 self._wait(next(iter(self._inflight.values())))
-        # Fail fast on unpicklable specs (e.g. a lambda reduction op):
-        # the command would otherwise surface as an opaque worker-side
-        # decode failure or a collective timeout.  Probed before the seq
-        # is consumed -- a burnt seq would stall the ack frontier.
+        # Fail fast on an unpicklable spec or argument (e.g. a lambda
+        # reduction op): framing it later would leave a registered
+        # command that never reaches the workers.  Probed before the seq
+        # is consumed -- a burnt seq would stall the ack frontier -- and
+        # with out-of-band buffers elided, so big arrays are not copied.
         try:
-            pickle.dumps(spec, protocol=pickle.HIGHEST_PROTOCOL)
+            pickle.dumps((spec, locals_per_pe), protocol=pickle.HIGHEST_PROTOCOL,
+                         buffer_callback=_elide)
         except Exception as exc:
             raise TypeError(
                 f"backend command {spec[0]!r} is not picklable (op/arguments "
@@ -1409,17 +1341,9 @@ class RuntimeBackend(Backend):
             ) from None
         self._seq += 1
         seq = self._seq
-        # freed handles piggyback only on full-pool commands -- a partial-
-        # participant command (p2p) would free the slots on two workers
-        # and leak them on the rest
-        if participants is None:
-            free_ids = tuple(self._dead_refs)
-            self._dead_refs.clear()
-        else:
-            free_ids = ()
-        nranks = self.p if participants is None else len(participants)
-        fut = CommandFuture(self, seq, spec[0], self.p, nranks,
-                            participants=participants)
+        free_ids = tuple(self._dead_refs)
+        self._dead_refs.clear()
+        fut = CommandFuture(self, seq, spec[0], self.p)
         self._inflight[seq] = fut
         if len(self._inflight) > self.max_inflight:
             self.max_inflight = len(self._inflight)
@@ -1429,7 +1353,7 @@ class RuntimeBackend(Backend):
         # are the one arg-heavy payload, and tree forwarding would
         # re-serialize each rank's chunk once per edge on its root path
         # (~(log2 p)/2 times on average) for no latency benefit.
-        if participants is None and spec[0] != "put":
+        if spec[0] != "put":
             locals_map = {r: locals_per_pe[r] for r in range(self.p)}
             self._cmd_buf.append((seq, spec, locals_map, free_ids))
             # inside a coalesced block the frame is held back so the
@@ -1441,7 +1365,7 @@ class RuntimeBackend(Backend):
             wire0, shm0 = self._tx["wire_tx"], self._tx["shm_tx"]
             if self._pool is not None:
                 self._pool.begin_round(seq)
-            for rank in (range(self.p) if participants is None else participants):
+            for rank in range(self.p):
                 self._inboxes[rank].put(
                     ("cmd", seq, spec, locals_per_pe[rank], free_ids,
                      self._acked),
@@ -1512,69 +1436,10 @@ class RuntimeBackend(Backend):
             self._coalescing = False
             self._flush_cmds()
 
-    def _run(
-        self, spec: tuple, locals_per_pe: Sequence, participants=None
-    ) -> list:
-        """Issue one command to the participating workers (default: all)
-        and collect their results: submit + wait."""
-        return self._wait(self._submit(spec, locals_per_pe, participants))
-
-    # ------------------------------------------------------------------
-    # Collectives
-    # ------------------------------------------------------------------
-    def broadcast(self, value, root: int = 0) -> list:
-        locals_per_pe = [value if i == root else None for i in range(self.p)]
-        return self._run(("bcast", root), locals_per_pe)
-
-    def reduce(self, values: Sequence, op, root: int = 0) -> list:
-        return self._run(("reduce", op, root), values)
-
-    def allreduce(self, values: Sequence, op) -> list:
-        return self._run(("allreduce", op), values)
-
-    def scan(self, values: Sequence, op) -> list:
-        return self._run(("scan", op), values)
-
-    def allreduce_exscan(self, values: Sequence, op, initial=0) -> tuple[list, list]:
-        pairs = self._run(("allreduce_exscan", op, initial), values)
-        totals = [t for t, _ in pairs]
-        prefixes = [pre for _, pre in pairs]
-        return totals, prefixes
-
-    def reduce_allgather(self, values: Sequence, payloads: Sequence, op) -> tuple[list, list]:
-        pairs = self._run(
-            ("reduce_allgather", op), list(zip(values, payloads))
-        )
-        return [t for t, _ in pairs], [g for _, g in pairs]
-
-    def gather(self, values: Sequence, root: int = 0) -> list:
-        return self._run(("gather", root), values)
-
-    def allgather(self, values: Sequence) -> list:
-        return self._run(("allgather",), values)
-
-    def scatter(self, pieces: Sequence, root: int = 0) -> list:
-        locals_per_pe = [list(pieces) if i == root else None for i in range(self.p)]
-        return self._run(("scatter", root), locals_per_pe)
-
-    def alltoall(self, matrix: Sequence[Sequence]) -> list[list]:
-        return self._run(("alltoall",), [list(row) for row in matrix])
-
-    def p2p(self, src: int, dst: int, payload):
-        if src == dst:
-            return payload
-        locals_per_pe = [payload if i == src else None for i in range(self.p)]
-        out = self._run(("p2p", src, dst), locals_per_pe, participants=(src, dst))
-        return out[dst]
-
-    def map(self, fn: Callable[[int, object], object], items: Sequence) -> list:
-        try:
-            blob = self._blob(fn)
-        except Exception:
-            # closures/lambdas cannot cross the process boundary; degrade
-            # gracefully to in-process application
-            return [fn(i, x) for i, x in enumerate(items)]
-        return self._run(("map", blob), items)
+    def _run(self, spec: tuple, locals_per_pe: Sequence) -> list:
+        """Issue one command to every worker and collect the results:
+        submit + wait."""
+        return self._wait(self._submit(spec, locals_per_pe))
 
     # ------------------------------------------------------------------
     # Resident chunks
@@ -1673,13 +1538,15 @@ class RuntimeBackend(Backend):
             return out_refs, PendingValues.resolved(
                 (values, _collect_values(values, collect, self.p))
             )
+        # a broken pool recovers (journal replay) before this command's
+        # output refs exist and before it is recorded
+        self._ensure_started()
         out_refs = [self._new_ref() for _ in range(n_out)]
         spec = ("mapres", blob, tuple(r.id for r in refs),
                 tuple(r.id for r in out_refs), collect)
         locals_per_pe = list(args) if args is not None else [None] * self.p
-        self._record(("mapres", blob, spec[2], spec[3],
-                      list(locals_per_pe), collect))
         fut = self._submit(spec, locals_per_pe)
+        self._record(("mapres", blob, spec[2], spec[3], locals_per_pe, collect))
         self._track_refs(fut, refs, out_refs)
 
         def settle():
@@ -1723,14 +1590,13 @@ class RuntimeBackend(Backend):
             outs, values = _run_spmd_inprocess(self.p, fn, chunk_lists, n_out, args)
             out_refs = [self.put_chunks(chunks) for chunks in outs]
             return out_refs, PendingValues.resolved(values)
+        self._ensure_started()
         out_refs = [self._new_ref() for _ in range(n_out)]
         spec = ("spmd", blob, tuple(r.id for r in refs),
-                tuple(r.id for r in out_refs))
-        if self.verify:
-            spec = spec + (True,)
+                tuple(r.id for r in out_refs), self.verify)
         locals_per_pe = list(args) if args is not None else [None] * self.p
-        self._record(("spmd", blob, spec[2], spec[3], list(locals_per_pe)))
         fut = self._submit(spec, locals_per_pe)
+        self._record(("spmd", blob, spec[2], spec[3], locals_per_pe))
         self._track_refs(fut, refs, out_refs)
 
         def settle():

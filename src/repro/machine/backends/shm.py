@@ -338,17 +338,14 @@ class ShmPool:
     # ------------------------------------------------------------------
     # Consumer side
     # ------------------------------------------------------------------
-    def materialize(self, name: str, offset: int, nbytes: int,
-                    flag_off: int | None = None):
-        """Consume one block of a (possibly foreign) segment.
+    def materialize(self, name: str, offset: int, nbytes: int, flag_off: int):
+        """Consume one block of a (possibly foreign) segment **zero-copy**.
 
-        With ``flag_off`` (the descriptor's flag offset) the block is
-        consumed **zero-copy**: the returned carrier is a view of the
-        owner's segment, and a finalizer on it writes the release flag
-        once the last decoded object aliasing it dies.  Without
-        ``flag_off`` the block is copied into private memory (legacy
-        descriptors and direct reads).  Attachments are cached so a
-        recycled segment is mapped once per process."""
+        The returned carrier is a view of the owner's segment, and a
+        finalizer on it writes the release flag at ``flag_off`` (the
+        descriptor's flag offset) once the last decoded object aliasing
+        it dies.  Attachments are cached so a recycled segment is mapped
+        once per process."""
         shm = self._attached.get(name)
         if shm is not None:
             # true LRU: re-insert on every hit so eviction below (which
@@ -364,8 +361,6 @@ class ShmPool:
                     self._detach(self._attached.pop(lru))
                 self._attached[name] = shm
         self.bytes_materialized += nbytes
-        if flag_off is None:
-            return bytearray(shm.buf[offset:offset + nbytes])
         block = np.frombuffer(shm.buf, dtype=np.uint8, count=nbytes,
                               offset=offset)
         # the finalizer owns a reference to ``shm``, so the mapping

@@ -1,7 +1,9 @@
 """The in-process simulated data plane (the default backend).
 
-Collectives compute their results directly in the driver process with
-deterministic combination orders:
+Every command runs in the driver process: resident chunks sit in a
+driver-side store and SPMD generators are driven in lockstep through
+:func:`repro.machine.backends.base.spmd_collective`, with deterministic
+combination orders:
 
 * reductions combine in binomial-tree order
   (:func:`repro.machine.collectives.tree_reduce_order`) so that
@@ -11,15 +13,13 @@ deterministic combination orders:
   (:func:`repro.machine.collectives.inclusive_scan`).
 
 Because nothing leaves the process, results may alias the inputs
-(``broadcast`` returns ``[value] * p``); callers must treat returned
-objects as read-only, exactly as :mod:`repro.machine.comm` documents.
+(``broadcast`` hands every PE the same object); callers must treat
+returned objects as read-only, exactly as :mod:`repro.machine.comm`
+documents.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
-
-from ..collectives import inclusive_scan, tree_reduce_order
 from .base import Backend
 
 __all__ = ["SimBackend"]
@@ -29,46 +29,3 @@ class SimBackend(Backend):
     """Zero-copy in-process execution; all time is modeled, not real."""
 
     name = "sim"
-    is_real = False
-
-    # ------------------------------------------------------------------
-    def broadcast(self, value, root: int = 0) -> list:
-        return [value] * self.p
-
-    def reduce(self, values: Sequence, op, root: int = 0) -> list:
-        out: list = [None] * self.p
-        out[root] = tree_reduce_order(values, op)
-        return out
-
-    def allreduce(self, values: Sequence, op) -> list:
-        return [tree_reduce_order(values, op)] * self.p
-
-    def scan(self, values: Sequence, op) -> list:
-        return inclusive_scan(values, op)
-
-    def allreduce_exscan(self, values: Sequence, op, initial=0) -> tuple[list, list]:
-        inc = inclusive_scan(values, op)
-        totals = [tree_reduce_order(values, op)] * self.p
-        return totals, [initial] + inc[:-1]
-
-    def gather(self, values: Sequence, root: int = 0) -> list:
-        out: list = [None] * self.p
-        out[root] = list(values)
-        return out
-
-    def allgather(self, values: Sequence) -> list:
-        result = list(values)
-        return [result] * self.p
-
-    def scatter(self, pieces: Sequence, root: int = 0) -> list:
-        return list(pieces)
-
-    def alltoall(self, matrix: Sequence[Sequence]) -> list[list]:
-        p = self.p
-        return [[matrix[i][j] for i in range(p)] for j in range(p)]
-
-    def p2p(self, src: int, dst: int, payload):
-        return payload
-
-    def map(self, fn: Callable[[int, object], object], items: Sequence) -> list:
-        return [fn(i, x) for i, x in enumerate(items)]

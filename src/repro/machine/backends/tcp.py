@@ -2,7 +2,7 @@
 
 Runs the exact same worker runtime as the ``mp`` backend
 (:mod:`repro.machine.backends.runtime`) -- same command loop, same
-binomial/Bruck exchange schedules, same broadcast-command fan-out, same
+per-yield exchange schedules, same broadcast-command fan-out, same
 resident chunk store -- but over length-framed stream sockets
 (:class:`~repro.machine.backends.transport.SocketChannel`) instead of
 pipes, so workers no longer have to share a host with the driver.

@@ -23,9 +23,9 @@ A *frame* is the unit every channel moves::
 where ``spec`` is the protocol-5 pickle of the object with its
 out-of-band ``PickleBuffer``\\ s elided and ``meta`` describes each
 buffer: either ``(0, nbytes)`` -- the raw bytes follow inline in the
-frame -- or ``(1, name, offset, nbytes)`` -- the bytes sit in a
-shared-memory block (:mod:`repro.machine.backends.shm`) and only this
-descriptor crosses the wire.  The sender never concatenates: header,
+frame -- or ``(1, name, offset, nbytes, flag_offset)`` -- the bytes
+sit in a shared-memory block (:mod:`repro.machine.backends.shm`) and
+only this descriptor crosses the wire.  The sender never concatenates: header,
 spec and buffer views go out through scatter-gather ``os.writev``
 (:func:`write_views`), skipping zero-length views (``os.writev``
 reports 0 bytes for them, which the advance loop would spin on
@@ -34,11 +34,12 @@ reads, slices buffers back out of the frame as ``memoryview``\\ s --
 frames of at least ``DIRECT_RX_MIN`` bytes land in a dedicated
 ``bytearray`` the decoded arrays then own -- and rebuilds the object
 with ``pickle.loads(spec, buffers=...)``.  Shared-memory descriptors
-are materialized (copied out of their segment) exactly once, at decode
-time, which is what makes the sender's round-based block recycling
-safe.  Channels whose peers never attach a pool (sockets) simply never
-see a descriptor: the sender's ``pool`` is ``None`` and every buffer
-rides inline.
+decode in place (:meth:`~repro.machine.backends.shm.ShmPool.
+materialize`): the buffer is a view of the sender's segment, and the
+block's release flag is set once its last view dies, which is what the
+sender's block recycling waits for.  Channels whose peers never attach
+a pool (sockets) simply never see a descriptor: the sender's ``pool``
+is ``None`` and every buffer rides inline.
 
 All reads and writes are non-blocking with explicit ``EINTR`` retry;
 writers invoke their ``drain`` callback while the stream is full so a
@@ -272,16 +273,14 @@ class FrameDecoder:
                     piece = bytearray(piece)
                 buffers.append(piece)
             else:
-                # 5-tuple descriptors carry the block's release-flag
-                # offset and decode zero-copy; 4-tuple ones (legacy
-                # producers) fall back to a private copy
-                _, name, boff, nbytes, *rest = bs
+                # the descriptor carries the block's release-flag offset;
+                # the block decodes zero-copy
+                _, name, boff, nbytes, foff = bs
                 if pool is None:
                     raise RuntimeError(
                         "received a shared-memory payload descriptor on a "
                         "channel with no pool attached"
                     )
-                foff = rest[0] if rest else None
                 buffers.append(pool.materialize(name, boff, nbytes, foff))
                 self.shm_rx += nbytes
         obj = pickle.loads(spec, buffers=buffers)

@@ -31,7 +31,6 @@ __all__ = [
     "binomial_edges",
     "binomial_subtrees",
     "bruck_hops",
-    "bruck_send_blocks",
     "hypercube_rounds",
     "combine",
     "REDUCTION_OPS",
@@ -126,8 +125,9 @@ def bruck_hops(p: int) -> list[int]:
     In round ``r`` every PE sends to ``(i + hops[r]) mod p`` and receives
     from ``(i - hops[r]) mod p``; after ``ceil(log2 p)`` rounds an
     allgather is complete on *any* ``p``, power of two or not.  Total
-    message count is ``p * ceil(log2 p)`` -- the O(p log p) schedule that
-    replaces direct O(p^2) exchanges inside real backends.
+    message count is ``p * ceil(log2 p)``; real backends route the
+    all-to-all's store-and-forward hops along it instead of a direct
+    O(p^2) exchange.
     """
     hops: list[int] = []
     hop = 1
@@ -135,15 +135,6 @@ def bruck_hops(p: int) -> list[int]:
         hops.append(hop)
         hop *= 2
     return hops
-
-
-def bruck_send_blocks(p: int, rank: int, hop: int, held: Sequence[int]) -> list[int]:
-    """Blocks ``rank`` must forward to ``(rank + hop) % p`` in a Bruck
-    allgather round: the held source ranks the receiver does not already
-    own (the receiver holds the ``hop`` ranks ending at itself)."""
-    dst = (rank + hop) % p
-    receiver_has = {(dst - i) % p for i in range(min(hop, p))}
-    return [b for b in held if b not in receiver_has]
 
 
 def hypercube_rounds(p: int) -> list[list[tuple[int, int]]]:

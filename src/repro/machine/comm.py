@@ -223,12 +223,13 @@ class Machine:
         (e.g. ``"kill@r1:s3"``); the ``REPRO_FAULTS`` environment
         variable installs one globally.  Ignored by ``sim``.
     journal:
-        Record chunk provenance (uploads and resident/SPMD commands) on
-        the driver so a pool lost to a worker failure is rebuilt
-        automatically on the next command -- restored chunks are
-        bit-identical (command args carry counter-based draw addresses,
-        so replay re-derives the exact same randomness; no generator
-        states are recorded).  Off by default; without it a broken pool raises cleanly and
+        Record chunk provenance (uploads and the resident/SPMD commands
+        that read or write chunks) on the driver so a pool lost to a
+        worker failure is rebuilt automatically on the next command --
+        restored chunks are bit-identical (command args carry
+        counter-based draw addresses, so replay re-derives the exact
+        same randomness; no generator states are recorded).  Off by
+        default; without it a broken pool raises cleanly and
         :meth:`recover` can still restore driver-held chunks.  Ignored
         by ``sim``.
     kernels:

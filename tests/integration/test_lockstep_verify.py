@@ -16,8 +16,9 @@ boundary (driver-side fallbacks would bypass the worker-side tracing).
 import numpy as np
 import pytest
 
-from repro.machine import Machine
+from repro.machine import DistArray, Machine
 from repro.machine.backends import LockstepError
+from repro.redistribution import redistribute
 
 GRID = [
     pytest.param("mp", 4, id="mp-p4"),
@@ -95,6 +96,23 @@ def test_lockstep_kernel_unperturbed(backend, p):
         chunks = m.backend.get_chunks(out_refs[0])
         for r, c in enumerate(chunks):
             np.testing.assert_array_equal(c, _chunks(p)[r])
+
+
+@pytest.mark.parametrize("backend,p", GRID)
+def test_sendrecv_senders_may_differ_per_rank(backend, p):
+    """Each rank declares whom *it* receives from, so a ``sendrecv``
+    (redistribution, every rooted collective) is lockstep even though
+    the declared sender sets differ."""
+    def run(m):
+        rng = np.random.default_rng(11)
+        chunks = [rng.integers(0, 100, 40 if r == 0 else 3) for r in range(p)]
+        out, _ = redistribute(m, DistArray(m, chunks))
+        return [c.tolist() for c in out.chunks], m.broadcast(7, root=p - 1)
+
+    with Machine(p=p, seed=3) as sim:
+        expected = run(sim)
+    with Machine(p=p, seed=3, backend=backend, verify=True) as m:
+        assert run(m) == expected
 
 
 def test_sim_raises_lockstep_error_by_construction():

@@ -20,6 +20,7 @@ frames fence, and :class:`PendingValues` settles idempotently.
 """
 
 import functools
+import time
 
 import numpy as np
 import pytest
@@ -45,6 +46,10 @@ def _bump(rank: int, vals, inc):
 
 def _noop(rank: int, tag):
     return tag
+
+
+def _reduce_with(rank: int, value, op):
+    return (yield ("allreduce", value, op))
 
 
 # ----------------------------------------------------------------------
@@ -274,3 +279,63 @@ class TestPipelinedEngine:
     def test_machine_knob_reaches_backend(self):
         with Machine(p=2, backend="mp", pipeline_depth=2) as m:
             assert m.backend.pipeline_depth == 2
+
+
+# ----------------------------------------------------------------------
+# Commands that cannot be issued
+# ----------------------------------------------------------------------
+
+class TestUnpicklableCommands:
+    """An unpicklable op or argument is refused with a ``TypeError``
+    before a seq is allocated: no phantom in-flight command whose wait
+    would run out the command deadline and blame healthy workers."""
+
+    def _refused_promptly(self, m, call):
+        backend = m.backend
+        t0 = time.monotonic()
+        with pytest.raises(TypeError, match="not picklable"):
+            call()
+        assert time.monotonic() - t0 < 1.0
+        assert backend._inflight == {}
+        # the pool is usable: the fencing upload returns at once
+        t0 = time.monotonic()
+        backend.put_chunks([np.arange(3), np.arange(4)])
+        assert time.monotonic() - t0 < 1.0
+        assert backend._acked == backend._seq
+
+    def test_lambda_op_on_machine_allreduce(self):
+        with Machine(p=2, backend="mp", command_timeout=5) as m:
+            m.allreduce([1, 2])  # start the pool
+            self._refused_promptly(
+                m, lambda: m.allreduce([1, 2], op=lambda a, b: a + b)
+            )
+            assert m.allreduce([1, 2]) == [3, 3]
+
+    def test_lambda_in_run_spmd_args(self):
+        with Machine(p=2, backend="mp", command_timeout=5) as m:
+            m.allreduce([1, 2])
+            args = [(1, lambda a, b: a + b), (2, lambda a, b: a + b)]
+            self._refused_promptly(
+                m, lambda: m.backend.run_spmd(_reduce_with, [], args=args)
+            )
+            _, values = m.backend.run_spmd(_reduce_with, [], args=[(1, "sum"), (2, "sum")])
+            assert values == [3, 3]
+
+
+class TestJournal:
+    def test_value_collectives_are_not_journaled(self):
+        """Only commands that read or write resident refs can be needed
+        to rebuild a chunk, so only they are recorded."""
+        with Machine(p=2, backend="mp", journal=True) as m:
+            backend = m.backend
+            ref = backend.put_chunks([np.arange(3.0), np.arange(4.0)])
+            before = len(backend._journal)
+            for i in range(4):
+                m.allreduce([i, i + 1])
+                m.broadcast(np.arange(i + 1), root=1)
+                m.allgather([i, -i])
+                m.alltoall([[None, (0, i)], [(1, i), None]])
+                m.send(0, 1, {"i": i})
+            assert len(backend._journal) == before
+            backend.map_resident(_bump, [ref], args=[(1.0,)] * 2)
+            assert len(backend._journal) == before + 1

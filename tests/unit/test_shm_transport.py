@@ -249,12 +249,12 @@ class TestThresholdRouting:
             big = np.arange(8000, dtype=np.float64)
             m.broadcast(big)
             m.sync_transport()
-            assert m.metrics.shm_bytes.get("bcast", 0) > 0
+            assert m.metrics.shm_bytes.get("spmd", 0) > 0
             first = dict(m.metrics.shm_bytes)
             m.sync_transport()  # repeated syncs must not double-count
             assert m.metrics.shm_bytes == first
             rep = m.report()
-            assert rep.shm_bytes >= first["bcast"]
+            assert rep.shm_bytes >= first["spmd"]
             assert rep.wire_bytes > 0
 
 
@@ -278,7 +278,7 @@ class TestSegmentLifecycle:
             assert pool.share(memoryview(b"tiny")) is None  # below cutoff
             name, offset, flag_off = pool.share(memoryview(payload))
             assert offset == flag_off + 64  # data follows the block header
-            assert bytes(pool.materialize(name, offset, len(payload))) == payload
+            assert bytes(pool.materialize(name, offset, len(payload), flag_off)) == payload
             # round recycling reuses the segment in place
             pool.release_round()
             name2, offset2, flag2 = pool.share(memoryview(payload))
@@ -316,13 +316,13 @@ class TestSegmentLifecycle:
                   for i in range(5)]  # distinct pools -> distinct segment names
         reader = ShmPool(pool_family(new_token()), "r", threshold=1)
         try:
-            hot_name, hot_off, _ = owners[0].share(memoryview(b"hot payload"))
-            reader.materialize(hot_name, hot_off, 11)
+            hot_name, hot_off, hot_flag = owners[0].share(memoryview(b"hot payload"))
+            reader.materialize(hot_name, hot_off, 11, hot_flag)
             for owner in owners[1:]:
-                name, off, _ = owner.share(memoryview(b"cold"))
-                reader.materialize(name, off, 4)
+                name, off, flag = owner.share(memoryview(b"cold"))
+                reader.materialize(name, off, 4, flag)
                 # touching hot between one-shot names keeps it most recent
-                reader.materialize(hot_name, hot_off, 11)
+                reader.materialize(hot_name, hot_off, 11, hot_flag)
             assert hot_name in reader._attached
             assert len(reader._attached) <= 3
         finally:
@@ -367,18 +367,6 @@ class TestSegmentLifecycle:
             seg = pool._segments[0]
             seg.shm.buf[off] = (payload[0] + 1) % 256  # write as the owner
             assert int(block[0]) == (payload[0] + 1) % 256  # the view sees it
-        finally:
-            pool.close()
-
-    @_observable
-    def test_legacy_descriptor_materializes_a_copy(self):
-        pool = ShmPool(pool_family(new_token()), "d", threshold=16)
-        try:
-            name, off, _ = pool.share(memoryview(b"q" * 256))
-            out = pool.materialize(name, off, 256)
-            assert isinstance(out, bytearray)
-            out[0] = 0  # private memory: the segment is untouched
-            assert pool._segments[0].shm.buf[off] == ord("q")
         finally:
             pool.close()
 

@@ -1,9 +1,10 @@
 """Unit tests: the in-worker tree/hypercube exchange schedules.
 
-The mp backend's workers route collectives over binomial trees (rooted
-ops, reduction-type ops) and dissemination/hypercube schedules
-(allgather, alltoall) instead of direct O(p^2) exchanges.  These tests
-pin down
+The mp backend's workers route collectives over a binomial-tree gather
++ broadcast (allgather and the reduction-type ops), direct one-hop
+rows to or from the root (rooted ops, point-to-point) and the
+dissemination/hypercube schedule (alltoall) instead of direct O(p^2)
+exchanges.  These tests pin down
 
 * the schedule helpers themselves (any ``p``, power of two or not),
 * bit-identical results against the simulated backend at non-power-of-
@@ -19,7 +20,6 @@ from repro.machine.collectives import (
     binomial_edges,
     binomial_subtrees,
     bruck_hops,
-    bruck_send_blocks,
 )
 from repro.machine.cost import log2_ceil
 
@@ -36,17 +36,6 @@ class TestScheduleHelpers:
         for h in hops:
             reachable |= {(r + h) for r in reachable}
         assert set(range(p)) <= reachable
-
-    @pytest.mark.parametrize("p", [2, 3, 5, 8])
-    def test_bruck_send_blocks_excludes_receiver_holdings(self, p):
-        # after r rounds each PE holds the `hop` ranks ending at itself;
-        # what it is sent must be exactly what it lacks
-        for rank in range(p):
-            held = [(rank - i) % p for i in range(1)]  # round 0: own block
-            sends = bruck_send_blocks(p, rank, 1, held)
-            dst = (rank + 1) % p
-            assert dst not in sends
-            assert all(b in held for b in sends)
 
     @pytest.mark.parametrize("p", [1, 2, 3, 5, 8])
     @pytest.mark.parametrize("root", [0, 1])
@@ -123,7 +112,7 @@ class TestMessageCounts:
             vals = list(range(p))
             m.allgather(vals)  # warm up (starts the pool)
             delta = self._delta(m, lambda: m.allgather(vals))
-        assert delta == p * log2_ceil(p)      # Bruck schedule, exactly
+        assert delta == 2 * (p - 1)           # tree gather + broadcast, exactly
         assert delta < p * (p - 1)            # strictly beats direct
 
     @pytest.mark.parametrize("p", [4, 5, 8])
@@ -202,9 +191,12 @@ class TestBroadcastCommandChannel:
     def test_p2p_keeps_the_direct_path(self):
         with Machine(p=4, seed=9, backend="mp") as m:
             m.allreduce([1, 2, 3, 4])
+            msgs = sum(m.backend.worker_message_counts())
             before = m.backend.driver_sends
             assert m.send(0, 2, 17) == 17
-            assert m.backend.driver_sends - before == 2  # src and dst only
+            assert m.backend.driver_sends - before == 1  # one command frame
+            # one worker-to-worker message, src straight to dst
+            assert sum(m.backend.worker_message_counts()) - msgs == 1
 
 
 class TestLargePayloads:
